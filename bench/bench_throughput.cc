@@ -1,10 +1,10 @@
 // Copyright (c) the webrbd authors. Licensed under the Apache License 2.0.
 //
 // Corpus-scale throughput harness for the batch-extraction engine
-// (ExtractionContext::ExtractCorpus). Sweeps worker threads over generated
-// corpora and reports docs/sec (items_per_second) and bytes/sec
-// (bytes_per_second), so scaling curves and the recognizer-cache win are
-// machine-readable:
+// (ExtractionContext::ExtractCorpusInto, into a CatalogSink). Sweeps
+// worker threads over generated corpora and reports docs/sec
+// (items_per_second) and bytes/sec (bytes_per_second), so scaling curves
+// and the recognizer-cache win are machine-readable:
 //
 //   build/bench/bench_throughput --benchmark_out=bench_throughput.json
 //       --benchmark_out_format=json
@@ -13,8 +13,8 @@
 //   - BM_PerDocumentLoopNoCache/N: the pre-batch-engine baseline — a
 //     fresh recognizer compiled and a fresh context built per document.
 //   - BM_PerDocumentLoopCached/N: the same loop rebuilding the context per
-//     document through the recognizer cache (what the deprecated
-//     RunIntegratedPipeline shim costs today).
+//     document through the recognizer cache (the cost of a caller that
+//     builds a context per call instead of keeping one).
 //   - BM_BatchPipeline/T/N: the batch engine with T worker threads over an
 //     N-document corpus. items_per_second is corpus docs/sec; compare
 //     T=1 with BM_PerDocumentLoopCached to see that batching adds no
@@ -33,6 +33,7 @@
 
 #include "extract/extraction_context.h"
 #include "extract/recognizer.h"
+#include "extract/record_sink.h"
 #include "extract/template_cache.h"
 #include "gen/sites.h"
 #include "gen/template_skew.h"
@@ -81,7 +82,8 @@ void BM_PerDocumentLoopNoCache(benchmark::State& state) {
       auto recognizer = Recognizer::Create(BenchOntology());
       auto context = ExtractionContext::FromCompiledRecognizer(
           BenchOntology(), *recognizer);
-      benchmark::DoNotOptimize(context.ExtractDocument(document));
+      CatalogSink sink(context.instance_generator());
+      benchmark::DoNotOptimize(context.ExtractDocumentInto(document, sink));
     }
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -92,7 +94,7 @@ void BM_PerDocumentLoopNoCache(benchmark::State& state) {
 BENCHMARK(BM_PerDocumentLoopNoCache)->Arg(100)->Unit(benchmark::kMillisecond);
 
 // The same loop through the process-wide recognizer cache, rebuilding the
-// context per document — the deprecated-shim caller's view.
+// context per document.
 void BM_PerDocumentLoopCached(benchmark::State& state) {
   const auto& corpus = Corpus(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
@@ -102,7 +104,8 @@ void BM_PerDocumentLoopCached(benchmark::State& state) {
         state.SkipWithError(context.status().ToString().c_str());
         return;
       }
-      benchmark::DoNotOptimize(context->ExtractDocument(document));
+      CatalogSink sink(context->instance_generator());
+      benchmark::DoNotOptimize(context->ExtractDocumentInto(document, sink));
     }
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -130,7 +133,8 @@ void BM_BatchPipeline(benchmark::State& state) {
   run.num_threads = static_cast<int>(state.range(0));
   size_t failed = 0;
   for (auto _ : state) {
-    auto batch = context->ExtractCorpus(corpus, run);
+    CatalogSink sink(context->instance_generator());
+    auto batch = context->ExtractCorpusInto(corpus, sink, run);
     if (!batch.ok()) {
       state.SkipWithError(batch.status().ToString().c_str());
       return;
@@ -173,7 +177,8 @@ void BM_BatchPipelineInstrumented(benchmark::State& state) {
   std::vector<StageLatencySummary> stage_latencies;
   double pool_utilization = 0;
   for (auto _ : state) {
-    auto batch = context->ExtractCorpus(corpus, run);
+    CatalogSink sink(context->instance_generator());
+    auto batch = context->ExtractCorpusInto(corpus, sink, run);
     if (!batch.ok()) {
       obs::SetMetricsEnabled(false);
       state.SkipWithError(batch.status().ToString().c_str());
@@ -262,7 +267,8 @@ void BM_BatchPipelineTemplateSkew(benchmark::State& state) {
     // The cache persists across iterations: the first iteration pays the
     // per-template misses, later ones run warm — matching a long-lived
     // batch service. Hit rate converges to 1 - templates / (iters * N).
-    auto batch = context->ExtractCorpus(corpus.pages, run);
+    CatalogSink sink(context->instance_generator());
+    auto batch = context->ExtractCorpusInto(corpus.pages, sink, run);
     if (!batch.ok()) {
       state.SkipWithError(batch.status().ToString().c_str());
       return;

@@ -121,8 +121,8 @@ class RecognizerCache {
       WEBRBD_GUARDED_BY(mu_);  // test-only
 };
 
-/// The process-wide cache used by single-document callers that do not
-/// manage their own (see RunIntegratedPipeline's compatibility overload).
+/// The process-wide cache used by contexts whose ContextOptions::cache is
+/// null (ExtractionContext::Create's default).
 RecognizerCache& GlobalRecognizerCache();
 
 }  // namespace webrbd

@@ -9,9 +9,7 @@
 // record (store/record_codec.h's StoredRecord, aliased PopulatedRecord
 // here) through a RecordSink, and the destination — an in-memory catalog,
 // a persistent page store, a test buffer, several at once — is the
-// caller's choice. The Catalog-returning entry points survive as thin
-// deprecated shims over CatalogSink (lint rule deprecated-pipeline-entry
-// flags direct use in src/ and tools/).
+// caller's choice; CatalogSink recovers the per-document db::Catalog.
 //
 // Delivery contract (what ExtractCorpusInto guarantees a sink):
 //   - Write is called from ONE thread at a time per extraction call, in
@@ -81,8 +79,7 @@ class BufferSink final : public RecordSink {
 };
 
 /// Materializes records as in-memory relational catalogs — the paper's
-/// "populated database" and the behavior of the deprecated
-/// Catalog-returning entry points, which are shims over this sink.
+/// "populated database".
 ///
 /// Catalogs are grouped by the records' document_index; entity-row ids
 /// restart at 1 per document (id = record_index + 1). Insert errors are

@@ -2,7 +2,7 @@
 //
 // arena-escape: TagNode pointers and string_views handed out by the
 // arena-backed tag tree (src/html/document_arena.h) only live until the
-// ExtractionContext's arena is reset after the ExtractDocument call, and
+// ExtractionContext's arena is reset after the extraction call, and
 // HtmlToken's name/text/attr views (src/html/token.h) borrow the source
 // document buffer and the lexer's arena the same way. This rule flags the
 // storage patterns that outlive that window:

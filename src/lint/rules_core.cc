@@ -1,6 +1,6 @@
 // Copyright (c) the webrbd authors. Licensed under the Apache License 2.0.
 //
-// The nine foundational lint rules, ported from the original regex-per-line
+// The eight foundational lint rules, ported from the original regex-per-line
 // checker onto the token-stream engine. Behavior is contract-compatible
 // (same rule names, same messages, same applicability) but the token view
 // removes the old false-positive classes: literals and comments are opaque,
@@ -384,65 +384,6 @@ class TagNodeRecursionRule : public Rule {
   }
 };
 
-// -------------------------------------------------- deprecated-pipeline-entry
-
-class DeprecatedPipelineEntryRule : public Rule {
- public:
-  LintRuleInfo info() const override {
-    return {"deprecated-pipeline-entry",
-            "src/ and tools/ must not call the deprecated "
-            "RunIntegratedPipeline/RunBatchPipeline shims or the "
-            "Catalog-returning ExtractDocument/ExtractCorpus entry points; "
-            "deliver records through a RecordSink via "
-            "ExtractDocumentInto/ExtractCorpusInto"};
-  }
-
-  void Check(const FileAnalysis& fa, const Corpus&,
-             Reporter* reporter) const override {
-    // Only library and tool code is held to the new API; tests and bench
-    // exercise the shims on purpose (golden equivalence, migration cost).
-    if (!StartsWith(fa.path, "src/") && !StartsWith(fa.path, "tools/")) {
-      return;
-    }
-    // The shims themselves necessarily name the deprecated entry points:
-    // the pipeline wrappers forward to ExtractDocument/ExtractCorpus, and
-    // extraction_context defines those methods (as shims over the sinks).
-    static const std::vector<std::string_view> kShimFiles = {
-        "src/extract/integrated_pipeline.h",
-        "src/extract/integrated_pipeline.cc",
-        "src/extract/batch_pipeline.h", "src/extract/batch_pipeline.cc",
-        "src/extract/extraction_context.h",
-        "src/extract/extraction_context.cc"};
-    for (std::string_view shim : kShimFiles) {
-      if (fa.path == shim) return;
-    }
-    static const std::set<std::string_view> kDeprecatedShims = {
-        "RunIntegratedPipeline", "RunBatchPipeline"};
-    static const std::set<std::string_view> kDeprecatedEntries = {
-        "ExtractDocument", "ExtractCorpus"};
-    for (size_t ci = 0; ci + 1 < fa.code_size(); ++ci) {
-      const Token& token = fa.Code(ci);
-      if (!token.IsIdent()) continue;
-      if (fa.CodeText(ci + 1) != "(") continue;
-      if (kDeprecatedShims.count(token.text) != 0) {
-        reporter->ReportAt(info().name, token,
-                           "'" + std::string(token.text) +
-                               "' is a deprecated shim; build an "
-                               "ExtractionContext once and deliver through "
-                               "a RecordSink with "
-                               "ExtractDocumentInto/ExtractCorpusInto");
-      } else if (kDeprecatedEntries.count(token.text) != 0) {
-        reporter->ReportAt(info().name, token,
-                           "'" + std::string(token.text) +
-                               "' is a deprecated Catalog-returning entry "
-                               "point; deliver records through a RecordSink "
-                               "with '" +
-                               std::string(token.text) + "Into'");
-      }
-    }
-  }
-};
-
 }  // namespace
 
 std::vector<std::unique_ptr<Rule>> MakeCoreRules() {
@@ -455,7 +396,6 @@ std::vector<std::unique_ptr<Rule>> MakeCoreRules() {
   rules.push_back(std::make_unique<UncheckedStatusRule>());
   rules.push_back(std::make_unique<UnguardedValueRule>());
   rules.push_back(std::make_unique<TagNodeRecursionRule>());
-  rules.push_back(std::make_unique<DeprecatedPipelineEntryRule>());
   return rules;
 }
 

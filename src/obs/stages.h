@@ -21,7 +21,7 @@ namespace obs {
 namespace metric_names {
 
 // Per-stage latency histograms (seconds). "stage" = one step of the
-// integrated per-document pipeline (extract/integrated_pipeline.h).
+// integrated per-document pipeline (extract/extraction_context.h).
 inline constexpr std::string_view kStageLex = "webrbd_stage_lex_seconds";
 inline constexpr std::string_view kStageTreeBuild =
     "webrbd_stage_tree_build_seconds";

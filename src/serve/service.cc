@@ -117,21 +117,38 @@ class AdmissionSlot {
   bool admitted_ = false;
 };
 
+/// The 503 + Retry-After a request gets when AdmissionSlot turns it away.
+HttpResponse AdmissionRejected(bool draining, int max_inflight,
+                               int retry_after_seconds) {
+  obs::Serve().rejected->Increment();
+  HttpResponse response = JsonResponse(
+      503, ErrorJson(Status::ResourceExhausted(
+               draining ? "server is draining"
+                        : "admission limit of " +
+                              std::to_string(max_inflight) +
+                              " in-flight requests reached")));
+  response.extra_headers.push_back(
+      {"Retry-After", std::to_string(retry_after_seconds)});
+  return response;
+}
+
+/// The sink a request extracts into: its CatalogSink alone, or teed
+/// (through `tee`, which the caller owns) into the ingest tap.
+RecordSink& RequestSink(CatalogSink& catalog, RecordSink* ingest,
+                        std::optional<TeeSink>& tee) {
+  if (ingest == nullptr) return catalog;
+  return tee.emplace(std::vector<RecordSink*>{&catalog, ingest});
+}
+
 }  // namespace
 
-namespace {
-
-/// Shared rendering core so the deprecated-shape and sink-era overloads
-/// produce byte-identical responses.
-std::string RenderExtractionJsonParts(const std::string& separator,
-                                      const DiscoveryResult& discovery,
-                                      size_t record_count,
-                                      const db::Catalog& catalog) {
-  std::string out = "{\"separator\":" + JsonString(separator);
-  out += ",\"records\":" + std::to_string(record_count);
+std::string RenderExtractionJson(const ExtractionOutcome& result,
+                                 const db::Catalog& catalog) {
+  std::string out = "{\"separator\":" + JsonString(result.separator);
+  out += ",\"records\":" + std::to_string(result.partitions.size());
   double certainty = 0.0;
-  for (const CompoundRankedTag& ranked : discovery.compound_ranking) {
-    if (ranked.tag == separator) {
+  for (const CompoundRankedTag& ranked : result.discovery.compound_ranking) {
+    if (ranked.tag == result.separator) {
       certainty = ranked.certainty;
       break;
     }
@@ -148,19 +165,6 @@ std::string RenderExtractionJsonParts(const std::string& separator,
   }
   out += "}}";
   return out;
-}
-
-}  // namespace
-
-std::string RenderExtractionJson(const IntegratedResult& result) {
-  return RenderExtractionJsonParts(result.separator, result.discovery,
-                                   result.partitions.size(), result.catalog);
-}
-
-std::string RenderExtractionJson(const ExtractionOutcome& result,
-                                 const db::Catalog& catalog) {
-  return RenderExtractionJsonParts(result.separator, result.discovery,
-                                   result.partitions.size(), catalog);
 }
 
 Result<std::unique_ptr<ExtractionService>> ExtractionService::Create(
@@ -301,16 +305,8 @@ HttpResponse ExtractionService::HandleExtract(const HttpRequest& request) {
 
   AdmissionSlot slot(&inflight_, max_inflight_, draining());
   if (!slot.admitted()) {
-    obs::Serve().rejected->Increment();
-    HttpResponse response = JsonResponse(
-        503, ErrorJson(Status::ResourceExhausted(
-                 draining() ? "server is draining"
-                            : "admission limit of " +
-                                  std::to_string(max_inflight_) +
-                                  " in-flight requests reached")));
-    response.extra_headers.push_back(
-        {"Retry-After", std::to_string(options_.retry_after_seconds)});
-    return response;
+    return AdmissionRejected(draining(), max_inflight_,
+                             options_.retry_after_seconds);
   }
   if (options_.extract_hook) options_.extract_hook();
   if (request.body.empty()) {
@@ -321,42 +317,29 @@ HttpResponse ExtractionService::HandleExtract(const HttpRequest& request) {
   const std::shared_ptr<const ServingState> serving = state();
   const robust::DocumentLimits& defaults =
       serving->context->options().discovery.limits;
-  const bool overridden =
-      limits->max_document_bytes != defaults.max_document_bytes ||
+  // Per-request limits need a context carrying them. The recognizer — the
+  // expensive compiled artifact — is shared from the serving epoch; only
+  // the wrapper is rebuilt, and only for requests that override.
+  std::optional<ExtractionContext> override_context;
+  if (limits->max_document_bytes != defaults.max_document_bytes ||
       limits->max_tokens != defaults.max_tokens ||
-      limits->max_tree_depth != defaults.max_tree_depth;
-  Result<ExtractionOutcome> result = Status::Internal("unreached");
-  std::optional<CatalogSink> catalog_sink;
-  if (overridden) {
-    // Per-request limits need a context carrying them. The recognizer —
-    // the expensive compiled artifact — is shared from the serving epoch;
-    // only the wrapper is rebuilt, and only for requests that override.
+      limits->max_tree_depth != defaults.max_tree_depth) {
     ContextOptions override_options = serving->context->options();
     override_options.discovery.limits = std::move(limits).value();
-    ExtractionContext override_context =
-        ExtractionContext::FromCompiledRecognizer(serving->ontology,
-                                                  serving->context->recognizer(),
-                                                  std::move(override_options));
-    catalog_sink.emplace(override_context.instance_generator());
-    if (options_.ingest_sink != nullptr) {
-      TeeSink tee({&*catalog_sink, options_.ingest_sink});
-      result = override_context.ExtractDocumentInto(request.body, tee);
-    } else {
-      result = override_context.ExtractDocumentInto(request.body,
-                                                    *catalog_sink);
-    }
-  } else {
-    catalog_sink.emplace(serving->context->instance_generator());
-    if (options_.ingest_sink != nullptr) {
-      TeeSink tee({&*catalog_sink, options_.ingest_sink});
-      result = serving->context->ExtractDocumentInto(request.body, tee);
-    } else {
-      result =
-          serving->context->ExtractDocumentInto(request.body, *catalog_sink);
-    }
+    override_context.emplace(ExtractionContext::FromCompiledRecognizer(
+        serving->ontology, serving->context->recognizer(),
+        std::move(override_options)));
   }
+  const ExtractionContext* context = override_context.has_value()
+                                         ? &*override_context
+                                         : &*serving->context;
+
+  CatalogSink catalog_sink(context->instance_generator());
+  std::optional<TeeSink> tee;
+  auto result = context->ExtractDocumentInto(
+      request.body, RequestSink(catalog_sink, options_.ingest_sink, tee));
   if (!result.ok()) return ErrorResponse(result.status());
-  auto catalog = catalog_sink->TakeCatalog();
+  auto catalog = catalog_sink.TakeCatalog();
   if (!catalog.ok()) return ErrorResponse(catalog.status());
   return JsonResponse(200, RenderExtractionJson(*result, *catalog));
 }
@@ -364,16 +347,8 @@ HttpResponse ExtractionService::HandleExtract(const HttpRequest& request) {
 HttpResponse ExtractionService::HandleExtractBatch(const HttpRequest& request) {
   AdmissionSlot slot(&inflight_, max_inflight_, draining());
   if (!slot.admitted()) {
-    obs::Serve().rejected->Increment();
-    HttpResponse response = JsonResponse(
-        503, ErrorJson(Status::ResourceExhausted(
-                 draining() ? "server is draining"
-                            : "admission limit of " +
-                                  std::to_string(max_inflight_) +
-                                  " in-flight requests reached")));
-    response.extra_headers.push_back(
-        {"Retry-After", std::to_string(options_.retry_after_seconds)});
-    return response;
+    return AdmissionRejected(draining(), max_inflight_,
+                             options_.retry_after_seconds);
   }
   if (options_.extract_hook) options_.extract_hook();
 
@@ -418,13 +393,9 @@ HttpResponse ExtractionService::HandleExtractBatch(const HttpRequest& request) {
     BatchRunOptions run;
     run.num_threads = 1;
     CatalogSink catalog_sink(serving->context->instance_generator());
-    Result<BatchOutcome> batch = Status::Internal("unreached");
-    if (options_.ingest_sink != nullptr) {
-      TeeSink tee({&catalog_sink, options_.ingest_sink});
-      batch = serving->context->ExtractCorpusInto(corpus, tee, run);
-    } else {
-      batch = serving->context->ExtractCorpusInto(corpus, catalog_sink, run);
-    }
+    std::optional<TeeSink> tee;
+    auto batch = serving->context->ExtractCorpusInto(
+        corpus, RequestSink(catalog_sink, options_.ingest_sink, tee), run);
     if (!batch.ok()) return ErrorResponse(batch.status());
     for (size_t j = 0; j < batch->documents.size(); ++j) {
       const Result<ExtractionOutcome>& doc = batch->documents[j];

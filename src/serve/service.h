@@ -46,6 +46,7 @@
 #include <string>
 #include <string_view>
 
+#include "db/catalog.h"
 #include "extract/extraction_context.h"
 #include "extract/template_cache.h"
 #include "ontology/model.h"
@@ -99,12 +100,9 @@ struct ServiceOptions {
 };
 
 /// Renders the response body /extract produces for a successful
-/// extraction. Exposed so tests can assert the served bytes are identical
-/// to an in-process ExtractDocument of the same document.
-std::string RenderExtractionJson(const IntegratedResult& result);
-
-/// Sink-era flavor: same bytes, from an ExtractionOutcome plus the catalog
-/// its CatalogSink materialized.
+/// extraction: the outcome plus the catalog its CatalogSink materialized.
+/// Exposed so tests can assert the served bytes are identical to an
+/// in-process ExtractDocumentInto of the same document.
 std::string RenderExtractionJson(const ExtractionOutcome& result,
                                  const db::Catalog& catalog);
 

@@ -1,6 +1,10 @@
 // Copyright (c) the webrbd authors. Licensed under the Apache License 2.0.
-
-#include "extract/batch_pipeline.h"
+//
+// The corpus engine, ExtractionContext::ExtractCorpusInto: agreement with
+// single-document extraction, thread-count determinism, per-document
+// failure isolation, stats accounting, and hook/exception containment.
+//
+// Suite name "BatchPipeline" is what CI's TSan job selects.
 
 #include <gtest/gtest.h>
 
@@ -8,8 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "extract/integrated_pipeline.h"
-#include "gen/sites.h"
+#include "extract/extract_test_util.h"
 #include "obs/metrics.h"
 #include "obs/stages.h"
 #include "ontology/bundled.h"
@@ -17,76 +20,85 @@
 namespace webrbd {
 namespace {
 
-std::vector<std::string> SmallCorpus(Domain domain, int documents) {
-  const auto& sites = gen::CalibrationSites();
-  std::vector<std::string> corpus;
-  corpus.reserve(static_cast<size_t>(documents));
-  for (int i = 0; i < documents; ++i) {
-    const auto& site = sites[static_cast<size_t>(i) % sites.size()];
-    corpus.push_back(
-        gen::RenderDocument(site, domain, i / static_cast<int>(sites.size()))
-            .html);
-  }
-  return corpus;
+using testing_util::ExtractCorpusToCatalogs;
+using testing_util::ExtractToCatalog;
+using testing_util::SmallCorpus;
+
+// ExtractCorpusInto over a throwaway BufferSink, for tests that look only
+// at the per-document outcomes and stats.
+Result<BatchOutcome> RunCorpus(const ExtractionContext& context,
+                               const std::vector<std::string>& corpus,
+                               const BatchRunOptions& run = {}) {
+  BufferSink sink;
+  return context.ExtractCorpusInto(corpus, sink, run);
 }
 
 TEST(BatchPipelineTest, MatchesSingleDocumentPipeline) {
   Ontology ontology = BundledOntology(Domain::kObituaries).value();
   std::vector<std::string> corpus = SmallCorpus(Domain::kObituaries, 4);
-  auto batch = RunBatchPipeline(corpus, ontology);
+  auto context = ExtractionContext::Create(ontology);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  auto batch = ExtractCorpusToCatalogs(*context, corpus);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_EQ(batch->documents.size(), corpus.size());
+  ASSERT_EQ(batch->batch.documents.size(), corpus.size());
   for (size_t i = 0; i < corpus.size(); ++i) {
-    auto single = RunIntegratedPipeline(corpus[i], ontology);
+    auto single = ExtractToCatalog(*context, corpus[i]);
     ASSERT_TRUE(single.ok());
-    ASSERT_TRUE(batch->documents[i].ok());
-    EXPECT_EQ(batch->documents[i]->separator, single->separator);
-    EXPECT_EQ(batch->documents[i]->partitions.size(),
-              single->partitions.size());
-    EXPECT_EQ(batch->documents[i]->catalog.ToString(),
-              single->catalog.ToString());
+    ASSERT_TRUE(batch->batch.documents[i].ok());
+    ASSERT_TRUE(batch->catalogs[i].ok());
+    EXPECT_EQ(batch->batch.documents[i]->separator, single->outcome.separator);
+    EXPECT_EQ(batch->batch.documents[i]->partitions.size(),
+              single->outcome.partitions.size());
+    EXPECT_EQ(batch->catalogs[i]->ToString(), single->catalog.ToString());
   }
 }
 
 TEST(BatchPipelineTest, DeterministicAcrossThreadCounts) {
   Ontology ontology = BundledOntology(Domain::kCarAds).value();
   std::vector<std::string> corpus = SmallCorpus(Domain::kCarAds, 20);
+  auto context = ExtractionContext::Create(ontology);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
 
-  BatchOptions serial;
+  BatchRunOptions serial;
   serial.num_threads = 1;
-  auto one = RunBatchPipeline(corpus, ontology, serial);
+  auto one = ExtractCorpusToCatalogs(*context, corpus, serial);
   ASSERT_TRUE(one.ok()) << one.status().ToString();
 
-  BatchOptions parallel;
+  BatchRunOptions parallel;
   parallel.num_threads = 8;
   parallel.chunk_size = 1;  // maximize interleaving
-  auto eight = RunBatchPipeline(corpus, ontology, parallel);
+  auto eight = ExtractCorpusToCatalogs(*context, corpus, parallel);
   ASSERT_TRUE(eight.ok()) << eight.status().ToString();
 
-  EXPECT_EQ(one->stats.threads_used, 1);
-  EXPECT_EQ(eight->stats.threads_used, 8);
-  ASSERT_EQ(one->documents.size(), eight->documents.size());
-  for (size_t i = 0; i < one->documents.size(); ++i) {
-    ASSERT_EQ(one->documents[i].ok(), eight->documents[i].ok()) << "doc " << i;
-    if (!one->documents[i].ok()) continue;
-    EXPECT_EQ(one->documents[i]->separator, eight->documents[i]->separator);
-    EXPECT_EQ(one->documents[i]->table.size(), eight->documents[i]->table.size());
-    EXPECT_EQ(one->documents[i]->catalog.ToString(),
-              eight->documents[i]->catalog.ToString());
+  const BatchOutcome& a = one->batch;
+  const BatchOutcome& b = eight->batch;
+  EXPECT_EQ(a.stats.threads_used, 1);
+  EXPECT_EQ(b.stats.threads_used, 8);
+  ASSERT_EQ(a.documents.size(), b.documents.size());
+  for (size_t i = 0; i < a.documents.size(); ++i) {
+    ASSERT_EQ(a.documents[i].ok(), b.documents[i].ok()) << "doc " << i;
+    if (!a.documents[i].ok()) continue;
+    EXPECT_EQ(a.documents[i]->separator, b.documents[i]->separator);
+    EXPECT_EQ(a.documents[i]->table.size(), b.documents[i]->table.size());
+    ASSERT_TRUE(one->catalogs[i].ok());
+    ASSERT_TRUE(eight->catalogs[i].ok());
+    EXPECT_EQ(one->catalogs[i]->ToString(), eight->catalogs[i]->ToString());
   }
-  EXPECT_EQ(one->stats.succeeded, eight->stats.succeeded);
-  EXPECT_EQ(one->stats.failed, eight->stats.failed);
-  EXPECT_EQ(one->stats.total_bytes, eight->stats.total_bytes);
+  EXPECT_EQ(a.stats.succeeded, b.stats.succeeded);
+  EXPECT_EQ(a.stats.failed, b.stats.failed);
+  EXPECT_EQ(a.stats.total_bytes, b.stats.total_bytes);
 }
 
 TEST(BatchPipelineTest, PerDocumentErrorsAreAggregatedNotDropped) {
   Ontology ontology = BundledOntology(Domain::kObituaries).value();
   std::vector<std::string> corpus = SmallCorpus(Domain::kObituaries, 3);
   corpus.insert(corpus.begin() + 1, "no markup at all");  // doomed document
+  auto context = ExtractionContext::Create(ontology);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
 
-  BatchOptions options;
-  options.num_threads = 4;
-  auto batch = RunBatchPipeline(corpus, ontology, options);
+  BatchRunOptions run;
+  run.num_threads = 4;
+  auto batch = RunCorpus(*context, corpus, run);
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(batch->documents.size(), 4u);
   EXPECT_TRUE(batch->documents[0].ok());
@@ -106,7 +118,9 @@ TEST(BatchPipelineTest, PerDocumentErrorsAreAggregatedNotDropped) {
 
 TEST(BatchPipelineTest, EmptyCorpus) {
   Ontology ontology = BundledOntology(Domain::kCourses).value();
-  auto batch = RunBatchPipeline(std::vector<std::string>{}, ontology);
+  auto context = ExtractionContext::Create(ontology);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  auto batch = RunCorpus(*context, {});
   ASSERT_TRUE(batch.ok());
   EXPECT_TRUE(batch->documents.empty());
   EXPECT_EQ(batch->stats.documents, 0u);
@@ -118,17 +132,20 @@ TEST(BatchPipelineTest, BadOntologyFailsTheWholeBatch) {
   broken.name = "Broken";
   broken.frame.value_patterns = {"(a"};
   Ontology ontology("broken", "Entity", {broken});
-  std::vector<std::string> corpus = SmallCorpus(Domain::kObituaries, 2);
-  auto batch = RunBatchPipeline(corpus, ontology);
-  EXPECT_FALSE(batch.ok());
+  // The ontology's rules do not compile, so no context — and no batch —
+  // can be built over it.
+  auto context = ExtractionContext::Create(ontology);
+  EXPECT_FALSE(context.ok());
 }
 
 TEST(BatchPipelineTest, ReportsThroughputStats) {
   Ontology ontology = BundledOntology(Domain::kJobAds).value();
   std::vector<std::string> corpus = SmallCorpus(Domain::kJobAds, 6);
-  BatchOptions options;
-  options.num_threads = 2;
-  auto batch = RunBatchPipeline(corpus, ontology, options);
+  auto context = ExtractionContext::Create(ontology);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  BatchRunOptions run;
+  run.num_threads = 2;
+  auto batch = RunCorpus(*context, corpus, run);
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch->stats.documents, 6u);
   size_t bytes = 0;
@@ -143,13 +160,18 @@ TEST(BatchPipelineTest, UsesTheProvidedCache) {
   RecognizerCache cache;
   Ontology ontology = BundledOntology(Domain::kObituaries).value();
   std::vector<std::string> corpus = SmallCorpus(Domain::kObituaries, 3);
-  BatchOptions options;
+  ContextOptions options;
   options.cache = &cache;
-  ASSERT_TRUE(RunBatchPipeline(corpus, ontology, options).ok());
+  // One context per batch, as a per-batch caller builds them.
+  auto first = ExtractionContext::Create(ontology, options);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(RunCorpus(*first, corpus).ok());
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.misses(), 1u);
   // A second batch over the same ontology recompiles nothing.
-  ASSERT_TRUE(RunBatchPipeline(corpus, ontology, options).ok());
+  auto second = ExtractionContext::Create(ontology, options);
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(RunCorpus(*second, corpus).ok());
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_GE(cache.hits(), 1u);
 }
@@ -162,13 +184,15 @@ TEST(BatchPipelineTest, ThrowingTaskBecomesPerDocumentInternalErrors) {
   // Status::Internal.
   Ontology ontology = BundledOntology(Domain::kObituaries).value();
   std::vector<std::string> corpus = SmallCorpus(Domain::kObituaries, 12);
-  BatchOptions options;
+  auto context = ExtractionContext::Create(ontology);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  BatchRunOptions options;
   options.num_threads = 4;
   options.chunk_size = 3;
   options.document_hook = [](size_t index) {
     if (index == 4) throw std::runtime_error("injected fault");
   };
-  auto batch = RunBatchPipeline(corpus, ontology, options);
+  auto batch = RunCorpus(*context, corpus, options);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   ASSERT_EQ(batch->documents.size(), corpus.size());
   size_t internal = 0;
@@ -191,12 +215,14 @@ TEST(BatchPipelineTest, ThrowingTaskBecomesPerDocumentInternalErrors) {
 TEST(BatchPipelineTest, ThrowingHookOnInlinePathIsAlsoContained) {
   Ontology ontology = BundledOntology(Domain::kObituaries).value();
   std::vector<std::string> corpus = SmallCorpus(Domain::kObituaries, 3);
-  BatchOptions options;
+  auto context = ExtractionContext::Create(ontology);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  BatchRunOptions options;
   options.num_threads = 1;  // inline path, no pool
   options.document_hook = [](size_t index) {
     if (index == 1) throw std::runtime_error("inline fault");
   };
-  auto batch = RunBatchPipeline(corpus, ontology, options);
+  auto batch = RunCorpus(*context, corpus, options);
   ASSERT_TRUE(batch.ok());
   ASSERT_EQ(batch->documents.size(), 3u);
   EXPECT_TRUE(batch->documents[0].ok());
@@ -209,9 +235,11 @@ TEST(BatchPipelineTest, StageLatenciesFilledWhenMetricsEnabled) {
   obs::SetMetricsEnabled(true);
   Ontology ontology = BundledOntology(Domain::kCarAds).value();
   std::vector<std::string> corpus = SmallCorpus(Domain::kCarAds, 6);
-  BatchOptions options;
-  options.num_threads = 2;
-  auto batch = RunBatchPipeline(corpus, ontology, options);
+  auto context = ExtractionContext::Create(ontology);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  BatchRunOptions run;
+  run.num_threads = 2;
+  auto batch = RunCorpus(*context, corpus, run);
   obs::SetMetricsEnabled(false);
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
 
@@ -249,7 +277,9 @@ TEST(BatchPipelineTest, StageLatenciesEmptyWhenMetricsDisabled) {
   ASSERT_FALSE(obs::MetricsEnabled());
   Ontology ontology = BundledOntology(Domain::kJobAds).value();
   std::vector<std::string> corpus = SmallCorpus(Domain::kJobAds, 2);
-  auto batch = RunBatchPipeline(corpus, ontology);
+  auto context = ExtractionContext::Create(ontology);
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  auto batch = RunCorpus(*context, corpus);
   ASSERT_TRUE(batch.ok());
   EXPECT_TRUE(batch->stats.stage_latencies.empty());
   EXPECT_EQ(batch->stats.pool_utilization, 0.0);

@@ -1,11 +1,12 @@
 // Copyright (c) the webrbd authors. Licensed under the Apache License 2.0.
 //
-// Golden equivalence suite for the ExtractionContext API redesign: the
-// deprecated RunIntegratedPipeline/RunBatchPipeline shims, the context
-// paths (with and without a reused arena), and the batch engine at 1 and 8
-// threads must all produce byte-identical IntegratedResults — same
+// Golden equivalence suite for the ExtractionContext API: every way to
+// build a context — Create through the process-wide recognizer cache (a
+// second, independent context), FromCompiledRecognizer over an existing
+// recognizer — with and without a reused arena, and the batch engine at 1
+// and 8 threads must all produce byte-identical extractions — same
 // separator, same partitions, same catalog dump — on the generator
-// corpora. This is the contract that lets callers migrate mechanically.
+// corpora.
 
 #include "extract/extraction_context.h"
 
@@ -15,42 +16,21 @@
 #include <string>
 #include <vector>
 
-#include "db/export.h"
-#include "extract/batch_pipeline.h"
-#include "extract/integrated_pipeline.h"
-#include "gen/sites.h"
+#include "extract/extract_test_util.h"
 #include "ontology/bundled.h"
 
 namespace webrbd {
 namespace {
 
-std::vector<std::string> SmallCorpus(Domain domain, int documents) {
-  const auto& sites = gen::CalibrationSites();
-  std::vector<std::string> corpus;
-  corpus.reserve(static_cast<size_t>(documents));
-  for (int i = 0; i < documents; ++i) {
-    const auto& site = sites[static_cast<size_t>(i) % sites.size()];
-    corpus.push_back(
-        gen::RenderDocument(site, domain, i / static_cast<int>(sites.size()))
-            .html);
-  }
-  return corpus;
-}
-
-// The byte-comparable projection of an IntegratedResult: separator,
-// partition boundaries/sizes, and the full SQL dump of the catalog.
-std::string Golden(const IntegratedResult& result) {
-  std::string out = "separator=" + result.separator + "\n";
-  out += "table_entries=" + std::to_string(result.table.size()) + "\n";
-  for (const DataRecordTable& partition : result.partitions) {
-    out += "partition=" + std::to_string(partition.size()) + "\n";
-  }
-  out += db::ToSqlDump(result.catalog);
-  return out;
-}
+using testing_util::ExtractCorpusToCatalogs;
+using testing_util::ExtractToCatalog;
+using testing_util::Golden;
+using testing_util::SmallCorpus;
 
 class ExtractionContextGoldenTest : public ::testing::TestWithParam<Domain> {};
 
+// The "shim" legs are the construction paths the removed per-call entry
+// points forwarded to (a second Create, FromCompiledRecognizer).
 TEST_P(ExtractionContextGoldenTest, ShimAndContextPathsAreByteIdentical) {
   const Ontology ontology = BundledOntology(GetParam()).value();
   const std::vector<std::string> corpus = SmallCorpus(GetParam(), 6);
@@ -58,28 +38,36 @@ TEST_P(ExtractionContextGoldenTest, ShimAndContextPathsAreByteIdentical) {
   auto context = ExtractionContext::Create(ontology);
   ASSERT_TRUE(context.ok()) << context.status().ToString();
 
+  // A fresh context through the global recognizer cache, and one wrapping
+  // the already-compiled recognizer.
+  auto via_global_cache = ExtractionContext::Create(ontology);
+  ASSERT_TRUE(via_global_cache.ok()) << via_global_cache.status().ToString();
+  const ExtractionContext via_recognizer =
+      ExtractionContext::FromCompiledRecognizer(ontology,
+                                                context->recognizer());
+
   DocumentArena arena;
   for (const std::string& html : corpus) {
-    auto via_context = context->ExtractDocument(html);
+    auto via_context = ExtractToCatalog(*context, html);
     ASSERT_TRUE(via_context.ok()) << via_context.status().ToString();
     const std::string golden = Golden(*via_context);
+    // One record delivered per partition.
+    EXPECT_EQ(via_context->outcome.records_written,
+              via_context->outcome.partitions.size());
 
     // Arena-reuse path: same bytes out of a warm arena.
     arena.Reset();
-    auto via_arena = context->ExtractDocument(html, arena);
+    auto via_arena = ExtractToCatalog(*context, html, &arena);
     ASSERT_TRUE(via_arena.ok());
     EXPECT_EQ(Golden(*via_arena), golden);
 
-    // Deprecated single-document shim (global recognizer cache).
-    auto via_shim = RunIntegratedPipeline(html, ontology);
-    ASSERT_TRUE(via_shim.ok());
-    EXPECT_EQ(Golden(*via_shim), golden);
+    auto via_cache = ExtractToCatalog(*via_global_cache, html);
+    ASSERT_TRUE(via_cache.ok());
+    EXPECT_EQ(Golden(*via_cache), golden);
 
-    // Deprecated recognizer-passing shim.
-    auto via_recognizer_shim =
-        RunIntegratedPipeline(html, ontology, context->recognizer());
-    ASSERT_TRUE(via_recognizer_shim.ok());
-    EXPECT_EQ(Golden(*via_recognizer_shim), golden);
+    auto via_compiled = ExtractToCatalog(via_recognizer, html);
+    ASSERT_TRUE(via_compiled.ok());
+    EXPECT_EQ(Golden(*via_compiled), golden);
   }
 }
 
@@ -91,9 +79,8 @@ TEST_P(ExtractionContextGoldenTest, BatchMatchesSingleAcrossThreadCounts) {
   ASSERT_TRUE(context.ok()) << context.status().ToString();
 
   std::vector<std::string> singles;
-  singles.reserve(corpus.size());
   for (const std::string& html : corpus) {
-    auto single = context->ExtractDocument(html);
+    auto single = ExtractToCatalog(*context, html);
     ASSERT_TRUE(single.ok()) << single.status().ToString();
     singles.push_back(Golden(*single));
   }
@@ -102,27 +89,23 @@ TEST_P(ExtractionContextGoldenTest, BatchMatchesSingleAcrossThreadCounts) {
     BatchRunOptions run;
     run.num_threads = threads;
     run.chunk_size = 2;  // several chunks, arena reused within each
-    auto batch = context->ExtractCorpus(corpus, run);
-    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    ASSERT_EQ(batch->documents.size(), corpus.size());
-    EXPECT_EQ(batch->stats.succeeded, corpus.size());
+    auto corpus_run = ExtractCorpusToCatalogs(*context, corpus, run);
+    ASSERT_TRUE(corpus_run.ok()) << corpus_run.status().ToString();
+    const BatchOutcome& batch = corpus_run->batch;
+    ASSERT_EQ(batch.documents.size(), corpus.size());
+    EXPECT_EQ(batch.stats.succeeded, corpus.size());
+    size_t records = 0;
     for (size_t i = 0; i < corpus.size(); ++i) {
-      ASSERT_TRUE(batch->documents[i].ok());
-      EXPECT_EQ(Golden(*batch->documents[i]), singles[i])
+      ASSERT_TRUE(batch.documents[i].ok());
+      ASSERT_TRUE(corpus_run->catalogs[i].ok());
+      EXPECT_EQ(Golden(*batch.documents[i], *corpus_run->catalogs[i]),
+                singles[i])
           << "threads=" << threads << " doc=" << i;
+      EXPECT_EQ(batch.documents[i]->records_written,
+                batch.documents[i]->partitions.size());
+      records += batch.documents[i]->records_written;
     }
-
-    // The deprecated batch shim rides the same engine.
-    BatchOptions legacy;
-    legacy.num_threads = threads;
-    legacy.chunk_size = 2;
-    auto shim_batch = RunBatchPipeline(corpus, ontology, legacy);
-    ASSERT_TRUE(shim_batch.ok());
-    for (size_t i = 0; i < corpus.size(); ++i) {
-      ASSERT_TRUE(shim_batch->documents[i].ok());
-      EXPECT_EQ(Golden(*shim_batch->documents[i]), singles[i])
-          << "shim threads=" << threads << " doc=" << i;
-    }
+    EXPECT_EQ(batch.records_delivered, records);
   }
 }
 
@@ -167,7 +150,8 @@ TEST(ExtractionContextTest, ExtractDocumentFailsOnTaglessInput) {
   const Ontology ontology = BundledOntology(Domain::kObituaries).value();
   auto context = ExtractionContext::Create(ontology);
   ASSERT_TRUE(context.ok());
-  auto result = context->ExtractDocument("no markup at all");
+  BufferSink sink;
+  auto result = context->ExtractDocumentInto("no markup at all", sink);
   EXPECT_FALSE(result.ok());
 }
 

@@ -2,10 +2,9 @@
 //
 // The RecordSink output abstraction: sink semantics (buffering, catalog
 // materialization with per-document error isolation, teeing, store
-// appends), golden equivalence between the sink-based entry points and
-// the deprecated Catalog-returning shims, and the corpus delivery
-// contract — deterministic, thread-count-independent record order, down
-// to byte-identical store files at 1 and 8 worker threads.
+// appends) and the corpus delivery contract — deterministic,
+// thread-count-independent record order, down to byte-identical store
+// files at 1 and 8 worker threads.
 
 #include "extract/record_sink.h"
 
@@ -15,9 +14,8 @@
 
 #include <gtest/gtest.h>
 
-#include "db/export.h"
+#include "extract/extract_test_util.h"
 #include "extract/extraction_context.h"
-#include "gen/sites.h"
 #include "ontology/bundled.h"
 #include "store/file_interface.h"
 #include "store/record_store.h"
@@ -25,18 +23,7 @@
 namespace webrbd {
 namespace {
 
-std::vector<std::string> SmallCorpus(Domain domain, int documents) {
-  const auto& sites = gen::CalibrationSites();
-  std::vector<std::string> corpus;
-  corpus.reserve(static_cast<size_t>(documents));
-  for (int i = 0; i < documents; ++i) {
-    const auto& site = sites[static_cast<size_t>(i) % sites.size()];
-    corpus.push_back(
-        gen::RenderDocument(site, domain, i / static_cast<int>(sites.size()))
-            .html);
-  }
-  return corpus;
-}
+using testing_util::SmallCorpus;
 
 /// Fails every Nth write; counts attempts. For TeeSink/error-path tests.
 class FlakySink final : public RecordSink {
@@ -155,28 +142,6 @@ TEST(StoreSinkTest, CountsAndPropagatesBackendErrors) {
   EXPECT_TRUE(sink.Flush().ok());
 }
 
-TEST(RecordSinkGoldenTest, SinkPathMatchesDeprecatedShim) {
-  const Ontology ontology = BundledOntology(Domain::kObituaries).value();
-  const std::vector<std::string> corpus = SmallCorpus(Domain::kObituaries, 4);
-  auto context = ExtractionContext::Create(ontology);
-  ASSERT_TRUE(context.ok());
-
-  for (const std::string& html : corpus) {
-    CatalogSink sink(context->instance_generator());
-    auto outcome = context->ExtractDocumentInto(html, sink);
-    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    auto catalog = sink.TakeCatalog();
-    ASSERT_TRUE(catalog.ok());
-
-    auto legacy = context->ExtractDocument(html);
-    ASSERT_TRUE(legacy.ok());
-    EXPECT_EQ(outcome->separator, legacy->separator);
-    EXPECT_EQ(outcome->partitions.size(), legacy->partitions.size());
-    EXPECT_EQ(outcome->records_written, legacy->partitions.size());
-    EXPECT_EQ(db::ToSqlDump(*catalog), db::ToSqlDump(legacy->catalog));
-  }
-}
-
 TEST(CorpusDeliveryTest, RecordOrderIsGroupedAndThreadCountIndependent) {
   const Ontology ontology = BundledOntology(Domain::kCarAds).value();
   const std::vector<std::string> corpus = SmallCorpus(Domain::kCarAds, 8);
@@ -285,31 +250,6 @@ TEST(CorpusDeliveryTest, SinkWriteFailureFailsTheBatch) {
   FlakySink sink(/*fail_at=*/3);
   auto batch = context->ExtractCorpusInto(corpus, sink, {});
   EXPECT_FALSE(batch.ok());  // the sink's backend is gone: whole call fails
-}
-
-TEST(CorpusDeliveryTest, DeprecatedCorpusShimMatchesSinkEngine) {
-  const Ontology ontology = BundledOntology(Domain::kCarAds).value();
-  const std::vector<std::string> corpus = SmallCorpus(Domain::kCarAds, 4);
-  auto context = ExtractionContext::Create(ontology);
-  ASSERT_TRUE(context.ok());
-
-  CatalogSink sink(context->instance_generator());
-  auto outcome = context->ExtractCorpusInto(corpus, sink, {});
-  ASSERT_TRUE(outcome.ok());
-
-  auto legacy = context->ExtractCorpus(corpus, {});
-  ASSERT_TRUE(legacy.ok());
-  ASSERT_EQ(legacy->documents.size(), corpus.size());
-  for (size_t i = 0; i < corpus.size(); ++i) {
-    ASSERT_TRUE(outcome->documents[i].ok());
-    ASSERT_TRUE(legacy->documents[i].ok());
-    auto catalog = sink.TakeCatalog(static_cast<uint32_t>(i));
-    ASSERT_TRUE(catalog.ok());
-    EXPECT_EQ(db::ToSqlDump(*catalog),
-              db::ToSqlDump(legacy->documents[i]->catalog));
-    EXPECT_EQ(outcome->documents[i]->separator,
-              legacy->documents[i]->separator);
-  }
 }
 
 }  // namespace

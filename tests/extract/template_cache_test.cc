@@ -5,7 +5,8 @@
 // template (count-invariance), LRU eviction under capacity, and the
 // determinism contract — extraction output must be byte-identical with
 // the cache on or off, at 1 worker or 8 (the cache may only change
-// timing). Mirrors the Golden projection of extraction_context_test.cc.
+// timing). Compares extractions through the shared Golden projection
+// (extract/extract_test_util.h).
 
 #include "extract/template_cache.h"
 
@@ -16,7 +17,7 @@
 #include <vector>
 
 #include "core/boundary_artifact.h"
-#include "db/export.h"
+#include "extract/extract_test_util.h"
 #include "extract/extraction_context.h"
 #include "gen/template_skew.h"
 #include "html/text_index.h"
@@ -25,6 +26,10 @@
 
 namespace webrbd {
 namespace {
+
+using testing_util::ExtractCorpusToCatalogs;
+using testing_util::ExtractToCatalog;
+using testing_util::Golden;
 
 uint64_t FingerprintOf(const std::string& html, uint64_t salt = 0) {
   auto tree = BuildTagTree(html);
@@ -173,16 +178,6 @@ TEST(TemplateCacheTest, EvictsLeastRecentlyUsedUnderCapacity) {
 // ---------------------------------------------------------------------------
 // Determinism: cache on vs off, 1 thread vs 8 — byte-identical output.
 
-std::string Golden(const IntegratedResult& result) {
-  std::string out = "separator=" + result.separator + "\n";
-  out += "table_entries=" + std::to_string(result.table.size()) + "\n";
-  for (const DataRecordTable& partition : result.partitions) {
-    out += "partition=" + std::to_string(partition.size()) + "\n";
-  }
-  out += db::ToSqlDump(result.catalog);
-  return out;
-}
-
 TEST(TemplateCacheDeterminismTest, CacheOnMatchesCacheOffAtOneAndEightThreads) {
   const Ontology ontology = BundledOntology(Domain::kObituaries).value();
 
@@ -200,7 +195,7 @@ TEST(TemplateCacheDeterminismTest, CacheOnMatchesCacheOffAtOneAndEightThreads) {
   std::vector<std::string> reference;
   reference.reserve(corpus.pages.size());
   for (const std::string& html : corpus.pages) {
-    auto result = off_context->ExtractDocument(html);
+    auto result = ExtractToCatalog(*off_context, html);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     reference.push_back(Golden(*result));
   }
@@ -218,13 +213,14 @@ TEST(TemplateCacheDeterminismTest, CacheOnMatchesCacheOffAtOneAndEightThreads) {
     BatchRunOptions run;
     run.num_threads = threads;
     run.chunk_size = 4;
-    auto batch = on_context->ExtractCorpus(corpus.pages, run);
+    auto batch = ExtractCorpusToCatalogs(*on_context, corpus.pages, run);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    ASSERT_EQ(batch->documents.size(), corpus.pages.size());
+    ASSERT_EQ(batch->catalogs.size(), corpus.pages.size());
     for (size_t i = 0; i < corpus.pages.size(); ++i) {
-      ASSERT_TRUE(batch->documents[i].ok())
-          << batch->documents[i].status().ToString();
-      EXPECT_EQ(Golden(*batch->documents[i]), reference[i])
+      ASSERT_TRUE(batch->catalogs[i].ok())
+          << batch->catalogs[i].status().ToString();
+      EXPECT_EQ(Golden(*batch->batch.documents[i], *batch->catalogs[i]),
+                reference[i])
           << "threads=" << threads << " doc=" << i;
     }
     // The cache actually engaged: at least one lookup per page, and a hit
@@ -244,7 +240,7 @@ TEST(TemplateCacheDeterminismTest, CacheOnMatchesCacheOffAtOneAndEightThreads) {
 }
 
 TEST(TemplateCacheDeterminismTest, StandaloneDocumentsDefaultToNoCache) {
-  // kAuto: a lone ExtractDocument call must not touch the cache.
+  // kAuto: a lone ExtractDocumentInto call must not touch the cache.
   const Ontology ontology = BundledOntology(Domain::kObituaries).value();
   TemplateCache cache;
   ContextOptions options;
@@ -257,14 +253,16 @@ TEST(TemplateCacheDeterminismTest, StandaloneDocumentsDefaultToNoCache) {
   skew.num_pages = 3;
   const auto corpus = gen::GenerateTemplateSkewCorpus(skew);
   for (const std::string& html : corpus.pages) {
-    auto result = context->ExtractDocument(html);
+    BufferSink sink;
+    auto result = context->ExtractDocumentInto(html, sink);
     ASSERT_TRUE(result.ok());
   }
   EXPECT_EQ(cache.hits() + cache.misses(), 0u);
   EXPECT_EQ(cache.size(), 0u);
 
-  // The same pages through ExtractCorpus do engage it.
-  auto batch = context->ExtractCorpus(corpus.pages, {});
+  // The same pages through ExtractCorpusInto do engage it.
+  BufferSink sink;
+  auto batch = context->ExtractCorpusInto(corpus.pages, sink);
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(cache.hits() + cache.misses(), corpus.pages.size());
   EXPECT_EQ(cache.size(), 1u);
@@ -298,7 +296,7 @@ TEST(TemplateCacheDeterminismTest, ReloadGenerationInvalidatesMemoization) {
   options.reload_generation = 0;
   auto gen0 = ExtractionContext::Create(ontology, options);
   ASSERT_TRUE(gen0.ok()) << gen0.status().ToString();
-  auto warm = gen0->ExtractCorpus(corpus.pages, run);
+  auto warm = ExtractCorpusToCatalogs(*gen0, corpus.pages, run);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_EQ(cache.misses(), templates);
   EXPECT_EQ(cache.hits(), pages - templates);
@@ -312,7 +310,7 @@ TEST(TemplateCacheDeterminismTest, ReloadGenerationInvalidatesMemoization) {
   // The same pages through the next generation: the first sighting of
   // each template must MISS (gen0's entries are unreachable under the new
   // salt); only gen1's own fresh entries may be hit.
-  auto reloaded = gen1->ExtractCorpus(corpus.pages, run);
+  auto reloaded = ExtractCorpusToCatalogs(*gen1, corpus.pages, run);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
   EXPECT_EQ(cache.misses(), 2 * templates);
   EXPECT_EQ(cache.hits(), 2 * (pages - templates));
@@ -322,11 +320,12 @@ TEST(TemplateCacheDeterminismTest, ReloadGenerationInvalidatesMemoization) {
 
   // And the reloaded generation's results are byte-identical to gen0's —
   // invalidation is about freshness, not output drift.
-  ASSERT_EQ(warm->documents.size(), reloaded->documents.size());
-  for (size_t i = 0; i < warm->documents.size(); ++i) {
-    ASSERT_TRUE(warm->documents[i].ok());
-    ASSERT_TRUE(reloaded->documents[i].ok());
-    EXPECT_EQ(Golden(*warm->documents[i]), Golden(*reloaded->documents[i]))
+  ASSERT_EQ(warm->catalogs.size(), reloaded->catalogs.size());
+  for (size_t i = 0; i < warm->catalogs.size(); ++i) {
+    ASSERT_TRUE(warm->catalogs[i].ok());
+    ASSERT_TRUE(reloaded->catalogs[i].ok());
+    EXPECT_EQ(Golden(*warm->batch.documents[i], *warm->catalogs[i]),
+              Golden(*reloaded->batch.documents[i], *reloaded->catalogs[i]))
         << i;
   }
 }
@@ -346,7 +345,7 @@ TEST(TemplateCacheDeterminismTest, StaleArtifactFallsBackAndRecovers) {
   off_options.template_memoization = TemplateMemoization::kNever;
   auto off_context = ExtractionContext::Create(ontology, off_options);
   ASSERT_TRUE(off_context.ok());
-  auto uncached = off_context->ExtractDocument(corpus.pages[0]);
+  auto uncached = ExtractToCatalog(*off_context, corpus.pages[0]);
   ASSERT_TRUE(uncached.ok());
 
   TemplateCache cache;
@@ -368,7 +367,7 @@ TEST(TemplateCacheDeterminismTest, StaleArtifactFallsBackAndRecovers) {
   poison->separator_child_count = 10;
   cache.Put(fingerprint, poison);
 
-  auto result = on_context->ExtractDocument(corpus.pages[0]);
+  auto result = ExtractToCatalog(*on_context, corpus.pages[0]);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(Golden(*result), Golden(*uncached));
   // The poisoned entry was found (a lookup hit) but failed re-validation.
@@ -377,7 +376,7 @@ TEST(TemplateCacheDeterminismTest, StaleArtifactFallsBackAndRecovers) {
 
   // The fallback repopulated the entry; the next page of the template
   // serves a genuine hit.
-  auto again = on_context->ExtractDocument(corpus.pages[1]);
+  auto again = ExtractToCatalog(*on_context, corpus.pages[1]);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(cache.hits(), 2u);
   EXPECT_EQ(cache.fallbacks(), 1u);
@@ -434,7 +433,8 @@ TEST(StreamEquivalenceTest, StreamReapplyMatchesTreeReapply) {
   auto context = ExtractionContext::Create(ontology, context_options);
   ASSERT_TRUE(context.ok());
   for (const std::string& page : corpus.pages) {
-    ASSERT_TRUE(context->ExtractDocument(page).ok());
+    BufferSink sink;
+    ASSERT_TRUE(context->ExtractDocumentInto(page, sink).ok());
   }
 
   const auto limits = robust::DocumentLimits::Production();

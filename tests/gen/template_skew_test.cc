@@ -10,6 +10,7 @@
 
 #include <numeric>
 
+#include "extract/extract_test_util.h"
 #include "extract/extraction_context.h"
 #include "ontology/model.h"
 
@@ -67,16 +68,20 @@ TEST(TemplateSkewTest, PagesExtractCleanlyWithoutAnOntology) {
   context_options.template_memoization = TemplateMemoization::kNever;
   auto context = ExtractionContext::Create(kEmpty, context_options);
   ASSERT_TRUE(context.ok()) << context.status().ToString();
-  auto batch = context->ExtractCorpus(corpus.pages, {});
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  EXPECT_EQ(batch->stats.failed, 0u);
-  for (size_t i = 0; i < batch->documents.size(); ++i) {
-    ASSERT_TRUE(batch->documents[i].ok())
+  auto run = testing_util::ExtractCorpusToCatalogs(*context, corpus.pages);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const BatchOutcome& batch = run->batch;
+  EXPECT_EQ(batch.stats.failed, 0u);
+  for (size_t i = 0; i < batch.documents.size(); ++i) {
+    ASSERT_TRUE(batch.documents[i].ok())
         << "page " << i << " of template " << corpus.template_of_page[i]
-        << ": " << batch->documents[i].status().ToString();
+        << ": " << batch.documents[i].status().ToString();
+    // The catalog stage materializes the entity table's rows.
+    ASSERT_TRUE(run->catalogs[i].ok())
+        << "page " << i << ": " << run->catalogs[i].status().ToString();
     // With no object sets the Data-Record Table (and so the partition
     // list) is empty; the structural outcome is the separator.
-    EXPECT_FALSE(batch->documents[i]->separator.empty());
+    EXPECT_FALSE(batch.documents[i]->separator.empty());
   }
 }
 

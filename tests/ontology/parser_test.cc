@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace webrbd {
 namespace {
 
@@ -87,9 +89,18 @@ TEST(OntologyParserTest, RoundTripsThroughDsl) {
 }
 
 struct ErrorCase {
+  const char* label;
   const char* dsl;
   const char* expect_substring;
 };
+
+// Prints the label only. Without this gtest prints the struct's raw bytes,
+// which are the two string pointers and so change with every process's
+// address-space layout, and the printed value ends up in the discovered
+// ctest name.
+void PrintTo(const ErrorCase& error_case, std::ostream* os) {
+  *os << error_case.label;
+}
 
 class OntologyParserErrorTest : public ::testing::TestWithParam<ErrorCase> {};
 
@@ -106,27 +117,37 @@ TEST_P(OntologyParserErrorTest, ReportsParseError) {
 INSTANTIATE_TEST_SUITE_P(
     Errors, OntologyParserErrorTest,
     ::testing::Values(
-        ErrorCase{"entity E\nobjectset A\nkeyword k\nend\nontology late\n"
+        ErrorCase{"DuplicateOntology",
+                  "entity E\nobjectset A\nkeyword k\nend\nontology late\n"
                   "ontology again\n",
                   "duplicate 'ontology'"},
-        ErrorCase{"ontology X\nentity A\nentity B\nobjectset O\nkeyword k\n"
+        ErrorCase{"DuplicateEntity",
+                  "ontology X\nentity A\nentity B\nobjectset O\nkeyword k\n"
                   "end\n",
                   "duplicate 'entity'"},
-        ErrorCase{"ontology X\nentity E\nobjectset\n", "needs a name"},
-        ErrorCase{"ontology X\nentity E\nobjectset A\nobjectset B\n",
+        ErrorCase{"ObjectsetNeedsName", "ontology X\nentity E\nobjectset\n",
+                  "needs a name"},
+        ErrorCase{"MissingEnd",
+                  "ontology X\nentity E\nobjectset A\nobjectset B\n",
                   "missing 'end'"},
-        ErrorCase{"ontology X\nentity E\nend\n", "'end' outside objectset"},
-        ErrorCase{"ontology X\nentity E\nobjectset A\ncardinality sometimes\n",
+        ErrorCase{"EndOutsideObjectset", "ontology X\nentity E\nend\n",
+                  "'end' outside objectset"},
+        ErrorCase{"UnknownCardinality",
+                  "ontology X\nentity E\nobjectset A\ncardinality sometimes\n",
                   "unknown cardinality"},
-        ErrorCase{"ontology X\nentity E\nkeyword k\n",
+        ErrorCase{"KeywordOutsideObjectset",
+                  "ontology X\nentity E\nkeyword k\n",
                   "'keyword' outside objectset"},
-        ErrorCase{"ontology X\nentity E\nobjectset A\nkeyword\nend\n",
+        ErrorCase{"EmptyKeyword",
+                  "ontology X\nentity E\nobjectset A\nkeyword\nend\n",
                   "empty keyword"},
-        ErrorCase{"ontology X\nentity E\nobjectset A\npattern\nend\n",
+        ErrorCase{"EmptyPattern",
+                  "ontology X\nentity E\nobjectset A\npattern\nend\n",
                   "empty pattern"},
-        ErrorCase{"ontology X\nentity E\nfrobnicate y\n",
+        ErrorCase{"UnknownDirective", "ontology X\nentity E\nfrobnicate y\n",
                   "unknown directive"},
-        ErrorCase{"ontology X\nentity E\nobjectset A\nkeyword k\n",
+        ErrorCase{"UnterminatedObjectset",
+                  "ontology X\nentity E\nobjectset A\nkeyword k\n",
                   "unterminated objectset"}));
 
 TEST(OntologyParserTest, ErrorsNameLineNumbers) {

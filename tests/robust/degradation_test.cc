@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "eval/figure2.h"
-#include "extract/batch_pipeline.h"
+#include "extract/extract_test_util.h"
 #include "gen/adversarial.h"
 #include "gen/sites.h"
 #include "obs/stages.h"
@@ -43,13 +43,26 @@ std::vector<std::string> MixedCorpus() {
   return corpus;
 }
 
-BatchOptions TightDepthOptions(int threads) {
-  BatchOptions options;
-  options.num_threads = threads;
+// One corpus run on `threads` workers into a CatalogSink, through a
+// context carrying `limits`.
+Result<testing_util::CorpusCatalogs> RunBatch(
+    const Ontology& ontology, const std::vector<std::string>& corpus,
+    int threads,
+    robust::DocumentLimits limits = robust::DocumentLimits::Production()) {
+  ContextOptions options;
+  options.discovery.limits = limits;
+  auto context = ExtractionContext::Create(ontology, options);
+  if (!context.ok()) return context.status();
+  BatchRunOptions run;
+  run.num_threads = threads;
+  return testing_util::ExtractCorpusToCatalogs(*context, corpus, run);
+}
+
+robust::DocumentLimits TightDepthLimits() {
   // Benign pages nest ~10 deep; the 200-deep bomb trips this cap.
-  options.discovery.limits = robust::DocumentLimits::Production();
-  options.discovery.limits.max_tree_depth = 64;
-  return options;
+  robust::DocumentLimits limits = robust::DocumentLimits::Production();
+  limits.max_tree_depth = 64;
+  return limits;
 }
 
 // One test, two runs of the same 1000-document corpus (1 and 8 threads):
@@ -62,10 +75,12 @@ TEST(RobustBatchDegradationTest, AdversarialDocsFailAloneAtAnyThreadCount) {
   const std::vector<std::string> corpus = MixedCorpus();
   const uint64_t depth_trips_before = obs::Robust().trip_depth->count();
 
-  auto serial = RunBatchPipeline(corpus, ontology, TightDepthOptions(1));
-  auto parallel = RunBatchPipeline(corpus, ontology, TightDepthOptions(8));
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+  auto serial_run = RunBatch(ontology, corpus, 1, TightDepthLimits());
+  auto parallel_run = RunBatch(ontology, corpus, 8, TightDepthLimits());
+  ASSERT_TRUE(serial_run.ok()) << serial_run.status().ToString();
+  ASSERT_TRUE(parallel_run.ok()) << parallel_run.status().ToString();
+  const BatchOutcome* serial = &serial_run->batch;
+  const BatchOutcome* parallel = &parallel_run->batch;
   ASSERT_EQ(serial->documents.size(), kCorpusSize);
   ASSERT_EQ(parallel->documents.size(), kCorpusSize);
 
@@ -79,6 +94,7 @@ TEST(RobustBatchDegradationTest, AdversarialDocsFailAloneAtAnyThreadCount) {
           << "doc " << i << ": " << doc.status().ToString();
     } else {
       EXPECT_TRUE(doc.ok()) << "doc " << i << ": " << doc.status().ToString();
+      EXPECT_TRUE(serial_run->catalogs[i].ok()) << "doc " << i;
     }
   }
 
@@ -123,12 +139,13 @@ TEST(RobustBatchDegradationTest, BenignCorpusTripsNothingUnderDefaults) {
   const uint64_t fatal_before = obs::Robust().FatalTripTotal();
   const uint64_t recoveries_before = obs::Robust().lexer_recoveries->count();
 
-  BatchOptions options;
-  options.num_threads = 4;  // limits left at production defaults
-  auto batch = RunBatchPipeline(corpus, ontology, options);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  EXPECT_EQ(batch->stats.failed, 0u);
-  EXPECT_EQ(batch->stats.succeeded, corpus.size());
+  auto run = RunBatch(ontology, corpus, 4);  // production default limits
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->batch.stats.failed, 0u);
+  EXPECT_EQ(run->batch.stats.succeeded, corpus.size());
+  for (const Result<db::Catalog>& catalog : run->catalogs) {
+    EXPECT_TRUE(catalog.ok()) << catalog.status().ToString();
+  }
   EXPECT_EQ(obs::Robust().FatalTripTotal(), fatal_before);
   EXPECT_EQ(obs::Robust().lexer_recoveries->count(), recoveries_before);
 }
@@ -140,10 +157,9 @@ TEST(RobustBatchDegradationTest, EveryShapeSurvivesTheBatchPipeline) {
   const std::vector<std::string> corpus =
       gen::AdversarialCorpus(gen::AllAdversarialShapes().size());
 
-  BatchOptions options;
-  options.num_threads = 2;
-  auto batch = RunBatchPipeline(corpus, ontology, options);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  auto run = RunBatch(ontology, corpus, 2);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  const BatchOutcome* batch = &run->batch;
   ASSERT_EQ(batch->documents.size(), corpus.size());
 
   // Index 0 is the depth bomb (2048 > the 512 default): the one shape
@@ -155,8 +171,8 @@ TEST(RobustBatchDegradationTest, EveryShapeSurvivesTheBatchPipeline) {
   // Every other shape must complete or fail cleanly — never crash, never
   // take the batch down with it.
   for (size_t i = 0; i < batch->documents.size(); ++i) {
-    if (batch->documents[i].ok()) continue;
-    EXPECT_FALSE(batch->documents[i].status().message().empty())
+    if (run->catalogs[i].ok()) continue;
+    EXPECT_FALSE(run->catalogs[i].status().message().empty())
         << "doc " << i;
   }
   EXPECT_EQ(batch->stats.failed + batch->stats.succeeded,

@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "extract/extract_test_util.h"
 #include "extract/extraction_context.h"
 #include "gen/sites.h"
 #include "ontology/bundled.h"
@@ -246,9 +247,10 @@ TEST(HttpServerTest, FullDaemonLifecycleUnderConcurrentTraffic) {
   const Ontology ontology = BundledOntology(Domain::kObituaries).value();
   auto context = ExtractionContext::Create(ontology);
   ASSERT_TRUE(context.ok());
-  auto golden_result = context->ExtractDocument(html);
+  auto golden_result = testing_util::ExtractToCatalog(*context, html);
   ASSERT_TRUE(golden_result.ok());
-  const std::string golden = RenderExtractionJson(*golden_result);
+  const std::string golden =
+      RenderExtractionJson(golden_result->outcome, golden_result->catalog);
 
   std::string escaped;
   for (char c : html) {

@@ -4,7 +4,7 @@
 // admission control (503 + Retry-After), per-request limit overrides and
 // their ceilings, NDJSON batch semantics, hot reload (generation bump,
 // template-salt change, bad-DSL rollback), and the byte-identity contract
-// between a served /extract response and an in-process ExtractDocument.
+// between a served /extract response and an in-process ExtractDocumentInto.
 
 #include "serve/service.h"
 
@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "extract/extract_test_util.h"
 #include "extract/extraction_context.h"
 #include "gen/sites.h"
 #include "ontology/bundled.h"
@@ -113,9 +114,10 @@ TEST(ExtractionServiceTest, ServedBytesMatchInProcessExtraction) {
       BundledOntology(Domain::kObituaries).value();
   auto context = ExtractionContext::Create(ontology);
   ASSERT_TRUE(context.ok()) << context.status().ToString();
-  auto result = context->ExtractDocument(html);
+  auto result = testing_util::ExtractToCatalog(*context, html);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(response.body, RenderExtractionJson(*result));
+  EXPECT_EQ(response.body,
+            RenderExtractionJson(result->outcome, result->catalog));
 }
 
 TEST(ExtractionServiceTest, EmptyExtractBodyIs400) {
