@@ -1,7 +1,7 @@
 // Copyright (c) the webrbd authors. Licensed under the Apache License 2.0.
 //
 // Persistent record store benchmarks (store/record_store.h): ingest
-// throughput and query latency at the 1M-record scale the learned index
+// throughput and query latency at the 1M-record scale the page index
 // exists for.
 //
 //   build/bench/bench_store --benchmark_out=bench_store.json
@@ -14,12 +14,12 @@
 //     records/sec.
 //   - BM_StoreIngestPosix/N: the same appends through the POSIX backend
 //     plus a final Flush — what `webrbd_cli store` pays end to end.
-//   - BM_StoreRangeQueryLearned: a 25-key range query against a sealed
-//     1M-record store, positioned by the learned sparse index.
+//   - BM_StoreRangeQueryIndexed: a 25-key range query against a sealed
+//     1M-record store, positioned by the page min-key table.
 //   - BM_StoreRangeQueryFullScan: the same query forced to scan from key
 //     0 (the no-index baseline). CI's bench-smoke floor requires the
-//     learned path >= 5x this (it measures ~100x+ locally).
-//   - BM_StorePointQueryLearned: single-record lookups at random keys.
+//     indexed path >= 5x this.
+//   - BM_StorePointQueryIndexed: single-record lookups at random keys.
 
 #include <benchmark/benchmark.h>
 
@@ -125,7 +125,7 @@ uint64_t DrainCount(RecordStore::Iterator it) {
   return count;
 }
 
-void BM_StoreRangeQueryLearned(benchmark::State& state) {
+void BM_StoreRangeQueryIndexed(benchmark::State& state) {
   RecordStore& store = QueryStore();
   uint64_t seed = 0;
   for (auto _ : state) {
@@ -136,21 +136,19 @@ void BM_StoreRangeQueryLearned(benchmark::State& state) {
     if (count != kRangeWidth) state.SkipWithError("wrong range count");
   }
   state.SetItemsProcessed(state.iterations());
-  state.counters["index_segments"] =
-      static_cast<double>(store.index_segments());
 }
-BENCHMARK(BM_StoreRangeQueryLearned)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_StoreRangeQueryIndexed)->Unit(benchmark::kMicrosecond);
 
 void BM_StoreRangeQueryFullScan(benchmark::State& state) {
   // The no-index baseline: answer the same range query by scanning every
-  // page from key 0 and filtering. (A min_key of 0 defeats the learned
-  // index's page skip; the filter keeps the decoded work identical.)
+  // page from key 0 and filtering. (A min_key of 0 defeats the page
+  // index's skip; the filter keeps the decoded work identical.)
   RecordStore& store = QueryStore();
   uint64_t seed = 0;
   for (auto _ : state) {
     const uint64_t min = Mix(seed++) % (kQueryStoreRecords - kRangeWidth);
     const uint64_t max = min + kRangeWidth - 1;
-    ScanOptions scan;  // min_key 0: every page is read
+    ScanOptions scan;  // min_key 0: every page up to max is read
     scan.max_key = max;
     uint64_t count = 0;
     StoredRecord record;
@@ -165,7 +163,7 @@ void BM_StoreRangeQueryFullScan(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreRangeQueryFullScan)->Unit(benchmark::kMillisecond);
 
-void BM_StorePointQueryLearned(benchmark::State& state) {
+void BM_StorePointQueryIndexed(benchmark::State& state) {
   RecordStore& store = QueryStore();
   uint64_t seed = 12345;
   for (auto _ : state) {
@@ -178,7 +176,7 @@ void BM_StorePointQueryLearned(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_StorePointQueryLearned)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_StorePointQueryIndexed)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace webrbd::store

@@ -13,12 +13,14 @@ Result<DatabaseInstanceGenerator> DatabaseInstanceGenerator::Create(
     const Ontology& ontology, InstanceGeneratorOptions options) {
   auto recognizer = Recognizer::Create(ontology);
   if (!recognizer.ok()) return recognizer.status();
-  return DatabaseInstanceGenerator(ontology, std::move(recognizer).value(),
-                                   options);
+  return DatabaseInstanceGenerator(
+      ontology,
+      std::make_shared<const Recognizer>(std::move(recognizer).value()),
+      options);
 }
 
 DatabaseInstanceGenerator::DatabaseInstanceGenerator(
-    const Ontology& ontology, Recognizer recognizer,
+    const Ontology& ontology, std::shared_ptr<const Recognizer> recognizer,
     InstanceGeneratorOptions options)
     : scheme_(GenerateDatabaseScheme(ontology)),
       recognizer_(std::move(recognizer)),
@@ -114,7 +116,7 @@ std::vector<DataRecordEntry> DatabaseInstanceGenerator::ResolveConstants(
 
 std::vector<std::pair<std::string, std::string>>
 DatabaseInstanceGenerator::FieldsForRecord(std::string_view record_text) const {
-  return FieldsFromTable(recognizer_.Recognize(record_text));
+  return FieldsFromTable(recognizer_->Recognize(record_text));
 }
 
 std::vector<std::pair<std::string, std::string>>
@@ -194,18 +196,6 @@ Result<db::Catalog> DatabaseInstanceGenerator::Populate(
   for (const ExtractedRecord& record : records) {
     WEBRBD_RETURN_IF_ERROR(InsertEntity(&catalog.value(), next_id++,
                                         FieldsForRecord(record.text)));
-  }
-  return catalog;
-}
-
-Result<db::Catalog> DatabaseInstanceGenerator::PopulateFromPartitions(
-    const std::vector<DataRecordTable>& partitions) const {
-  auto catalog = scheme_.CreateCatalog();
-  if (!catalog.ok()) return catalog.status();
-  int64_t next_id = 1;
-  for (const DataRecordTable& partition : partitions) {
-    WEBRBD_RETURN_IF_ERROR(InsertEntity(&catalog.value(), next_id++,
-                                        FieldsFromTable(partition)));
   }
   return catalog;
 }

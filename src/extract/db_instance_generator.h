@@ -8,6 +8,7 @@
 #ifndef WEBRBD_EXTRACT_DB_INSTANCE_GENERATOR_H_
 #define WEBRBD_EXTRACT_DB_INSTANCE_GENERATOR_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,12 @@ class DatabaseInstanceGenerator {
   [[nodiscard]] static Result<DatabaseInstanceGenerator> Create(
       const Ontology& ontology, InstanceGeneratorOptions options = {});
 
+  /// Shares an already-compiled `recognizer` (created from `ontology`)
+  /// instead of compiling one; only the scheme is derived here.
+  DatabaseInstanceGenerator(const Ontology& ontology,
+                            std::shared_ptr<const Recognizer> recognizer,
+                            InstanceGeneratorOptions options = {});
+
   /// Creates a fresh catalog from the scheme and inserts one entity row per
   /// record (plus aux-table rows for many-valued object sets).
   [[nodiscard]] Result<db::Catalog> Populate(
@@ -53,10 +60,6 @@ class DatabaseInstanceGenerator {
   std::vector<std::pair<std::string, std::string>> FieldsFromTable(
       const DataRecordTable& record_table) const;
 
-  /// Populates a fresh catalog with one entity row per partition.
-  [[nodiscard]] Result<db::Catalog> PopulateFromPartitions(
-      const std::vector<DataRecordTable>& partitions) const;
-
   /// Inserts one entity row (and its aux-table rows for many-valued
   /// object sets) into `catalog`, which must have been created from this
   /// generator's scheme. Public so record sinks (extract/record_sink.h)
@@ -66,12 +69,9 @@ class DatabaseInstanceGenerator {
       const std::vector<std::pair<std::string, std::string>>& fields) const;
 
   const DatabaseScheme& scheme() const { return scheme_; }
-  const Recognizer& recognizer() const { return recognizer_; }
+  const Recognizer& recognizer() const { return *recognizer_; }
 
  private:
-  DatabaseInstanceGenerator(const Ontology& ontology, Recognizer recognizer,
-                            InstanceGeneratorOptions options);
-
   // Resolves constants claimed by multiple object sets (shared value types)
   // to the object set whose own keyword most closely precedes the constant.
   std::vector<DataRecordEntry> ResolveConstants(
@@ -86,7 +86,7 @@ class DatabaseInstanceGenerator {
 
   std::vector<FieldInfo> fields_;
   DatabaseScheme scheme_;
-  Recognizer recognizer_;
+  std::shared_ptr<const Recognizer> recognizer_;
   InstanceGeneratorOptions options_;
 };
 

@@ -209,17 +209,9 @@ ExtractionContext::ExtractionContext(
     : ontology_(ontology),
       recognizer_(std::move(recognizer)),
       options_(std::move(options)),
-      template_salt_(ComputeTemplateSalt(*ontology_, options_)) {
-  // Compile the instance generator ONCE per context instead of once per
-  // document (Create re-compiles every value pattern in the ontology).
-  // On a compile failure the pointer stays null and the per-document
-  // fallback in ExtractDocumentImpl surfaces the same error.
-  auto generator = DatabaseInstanceGenerator::Create(*ontology_);
-  if (generator.ok()) {
-    generator_ = std::make_shared<const DatabaseInstanceGenerator>(
-        std::move(generator).value());
-  }
-}
+      template_salt_(ComputeTemplateSalt(*ontology_, options_)),
+      generator_(std::make_shared<const DatabaseInstanceGenerator>(
+          *ontology_, recognizer_)) {}
 
 Result<ExtractionContext> ExtractionContext::Create(const Ontology& ontology,
                                                     ContextOptions options) {
@@ -290,25 +282,12 @@ Result<ExtractionOutcome> ExtractionContext::ExtractDocumentImpl(
     }
     result.partitions = std::move(partitions);
 
-    // One record per partition, through the generator compiled once at
-    // context construction. The null fallback covers the one construction
-    // path that cannot report a compile failure (FromCompiledRecognizer):
-    // compiling here per document reproduces the error the caller would
-    // have seen.
-    const DatabaseInstanceGenerator* generator = generator_.get();
-    std::optional<DatabaseInstanceGenerator> local;
-    if (generator == nullptr) {
-      auto compiled = DatabaseInstanceGenerator::Create(*ontology_);
-      if (!compiled.ok()) return compiled.status();
-      local.emplace(std::move(compiled).value());
-      generator = &*local;
-    }
     PopulatedRecord record;
     record.document_index = document_index;
-    record.entity = generator->scheme().entity_table.table_name();
+    record.entity = generator_->scheme().entity_table.table_name();
     for (size_t i = 0; i < result.partitions.size(); ++i) {
       record.record_index = static_cast<uint32_t>(i);
-      record.fields = generator->FieldsFromTable(result.partitions[i]);
+      record.fields = generator_->FieldsFromTable(result.partitions[i]);
       Status written = sink.Write(record);
       if (!written.ok()) return written;
     }

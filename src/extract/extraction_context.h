@@ -212,7 +212,7 @@ struct BatchOutcome {
 /// FromCompiledRecognizer, the recognizer); both must outlive it. The
 /// compiled recognizer obtained through Create() is shared-owned and keeps
 /// itself alive. Copying a context is cheap (it copies options and bumps
-/// the recognizer refcount).
+/// the recognizer and instance-generator refcounts).
 class ExtractionContext {
  public:
   /// Compiles (or fetches from the cache in `options.cache`) the
@@ -270,10 +270,11 @@ class ExtractionContext {
   const Recognizer& recognizer() const { return *recognizer_; }
   const ContextOptions& options() const { return options_; }
 
-  /// The instance generator compiled at construction — what a CatalogSink
-  /// needs to materialize this context's records as catalogs. Null only
-  /// when the ontology's value patterns failed to compile (every
-  /// extraction through such a context fails per-document).
+  /// The instance generator built at construction over this context's
+  /// own recognizer (no second compile) — what a CatalogSink needs to
+  /// materialize this context's records as catalogs. Never null. For a
+  /// FromCompiledRecognizer context it borrows that recognizer too, so it
+  /// must not outlive it.
   std::shared_ptr<const DatabaseInstanceGenerator> instance_generator() const {
     return generator_;
   }
@@ -301,10 +302,8 @@ class ExtractionContext {
   ContextOptions options_;
   uint64_t template_salt_ = 0;
 
-  /// Instance generator compiled once at construction and shared by every
-  /// document (it is immutable after Create). Null only when the
-  /// ontology's patterns fail to compile — ExtractDocumentImpl then
-  /// reproduces the compile error per document.
+  /// Instance generator sharing recognizer_, built once at construction
+  /// and used by every document (it is immutable).
   std::shared_ptr<const DatabaseInstanceGenerator> generator_;
 };
 

@@ -141,7 +141,6 @@ const StoreMetrics& Store() {
     s.flushes = registry.GetCounter(mn::kStoreFlushes);
     s.records = registry.GetCounter(mn::kStoreRecords);
     s.torn_pages = registry.GetCounter(mn::kStoreTornPages);
-    s.index_segments = registry.GetGauge(mn::kStoreIndexSegments);
     s.query_latency = registry.GetHistogram(mn::kStoreQueryLatency);
     return s;
   }();
@@ -189,8 +188,7 @@ const std::vector<std::string>& AllDocumentedMetricNames() {
           mn::kServeInflight, mn::kServeRejected, mn::kServeRequestLatency,
           mn::kServeDrain, mn::kServeReloads, mn::kStorePagesWritten,
           mn::kStorePagesRead, mn::kStoreFlushes, mn::kStoreRecords,
-          mn::kStoreTornPages, mn::kStoreIndexSegments,
-          mn::kStoreQueryLatency}) {
+          mn::kStoreTornPages, mn::kStoreQueryLatency}) {
       all.emplace_back(name);
     }
     return all;

@@ -150,9 +150,8 @@ inline constexpr std::string_view kServeReloads =
 // the FileInterface (the superblock is excluded); flushes counts Flush()
 // durability points (tail seal + sync); records counts appended records;
 // torn_pages counts invalid tail pages dropped during open-time recovery.
-// index_segments is the learned-index segment count of the most recently
-// touched store; the query histogram spans Scan-iterator lifetimes
-// (creation to exhaustion/destruction).
+// The query histogram spans Scan-iterator lifetimes (creation to
+// exhaustion/destruction).
 inline constexpr std::string_view kStorePagesWritten =
     "webrbd_store_pages_written_total";
 inline constexpr std::string_view kStorePagesRead =
@@ -163,8 +162,6 @@ inline constexpr std::string_view kStoreRecords =
     "webrbd_store_records_written_total";
 inline constexpr std::string_view kStoreTornPages =
     "webrbd_store_torn_pages_total";
-inline constexpr std::string_view kStoreIndexSegments =
-    "webrbd_store_index_segments";
 inline constexpr std::string_view kStoreQueryLatency =
     "webrbd_store_query_seconds";
 
@@ -283,7 +280,6 @@ struct StoreMetrics {
   Counter* flushes;
   Counter* records;
   Counter* torn_pages;
-  Gauge* index_segments;
   Histogram* query_latency;
 };
 

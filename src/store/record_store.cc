@@ -17,10 +17,8 @@ constexpr size_t kSuperblockProbeBytes = 24;
 }  // namespace
 
 RecordStore::RecordStore(Private, std::unique_ptr<FileInterface> file,
-                         size_t page_size, uint32_t index_epsilon)
-    : file_(std::move(file)),
-      page_size_(page_size),
-      index_(index_epsilon) {
+                         size_t page_size)
+    : file_(std::move(file)), page_size_(page_size) {
   page_buffer_.resize(page_size_);
 }
 
@@ -52,16 +50,15 @@ Result<std::unique_ptr<RecordStore>> RecordStore::Open(
                             ParseSuperblock(probe, kSuperblockProbeBytes));
   }
 
-  auto store = std::make_unique<RecordStore>(
-      Private{}, std::move(file), page_size, options.index_epsilon);
+  auto store =
+      std::make_unique<RecordStore>(Private{}, std::move(file), page_size);
 
-  // Recovery scan: walk data pages in order, rebuild the learned index,
-  // and stop at the first page that is torn (checksum), missing (beyond
-  // EOF), or out of key sequence. Everything from that page on is
+  // Recovery scan: walk data pages in order, rebuild the page min-key
+  // table, and stop at the first page that is torn (checksum), missing
+  // (beyond EOF), or out of key sequence. Everything from that page on is
   // dropped so the store reopens to a consistent prefix.
   const obs::StoreMetrics& metrics = obs::Store();
-  uint64_t page = 1;
-  for (;; ++page) {
+  for (uint64_t page = 1;; ++page) {
     Status read = store->file_->ReadPage(page, page_size,
                                          store->page_buffer_.data());
     if (!read.ok()) break;  // beyond EOF: clean end or torn partial page
@@ -70,11 +67,10 @@ Result<std::unique_ptr<RecordStore>> RecordStore::Open(
         PageReader::Parse(store->page_buffer_.data(), page_size);
     if (!parsed.ok()) break;  // torn or corrupt page
     if (parsed->min_key() != store->next_key_) break;  // sequence break
-    store->index_.Add(parsed->min_key(), page);
+    store->page_min_keys_.push_back(parsed->min_key());
     store->next_key_ = parsed->max_key() + 1;
-    store->page_count_ = page;
   }
-  const uint64_t valid_bytes = (store->page_count_ + 1) * page_size;
+  const uint64_t valid_bytes = (store->page_count() + 1) * page_size;
   if (size > valid_bytes) {
     store->torn_pages_ = (size - valid_bytes + page_size - 1) / page_size;
     metrics.torn_pages->Increment(store->torn_pages_);
@@ -83,8 +79,6 @@ Result<std::unique_ptr<RecordStore>> RecordStore::Open(
     Status synced = store->file_->Sync();
     if (!synced.ok()) return synced;
   }
-  metrics.index_segments->Set(
-      static_cast<double>(store->index_.segment_count()));
   return store;
 }
 
@@ -118,16 +112,13 @@ Status RecordStore::SealTailPage() {
     if (!appended.ok()) return appended;
   }
   builder.Finish(page_buffer_.data());
-  const uint64_t page = page_count_ + 1;
+  const uint64_t page = page_count() + 1;
   Status written = file_->WritePage(page, page_size_, page_buffer_.data());
   if (!written.ok()) return written;
-  page_count_ = page;
-  index_.Add(base_key, page);
+  page_min_keys_.push_back(base_key);
   pending_.clear();
   pending_bytes_ = 0;
-  const obs::StoreMetrics& metrics = obs::Store();
-  metrics.pages_written->Increment();
-  metrics.index_segments->Set(static_cast<double>(index_.segment_count()));
+  obs::Store().pages_written->Increment();
   return Status::OK();
 }
 
@@ -147,9 +138,9 @@ struct RecordStore::Iterator::State {
   ScanOptions options;
   Status status = Status::OK();
 
-  // Sealed-page cursor.
-  uint64_t page = 0;           // next file page to read; 0 = done with pages
-  uint64_t last_page = 0;      // last sealed page at Scan time
+  // Sealed-page cursor over [page, last_page], fixed at Scan time.
+  uint64_t page = 0;       // next file page to read; 0 = done with pages
+  uint64_t last_page = 0;  // last page holding a key <= max_key
   std::string page_buffer;
   Result<PageReader> reader = Status::NotFound("unset");
   uint32_t record_in_page = 0;
@@ -236,12 +227,6 @@ bool RecordStore::Iterator::Next(StoredRecord* record, uint64_t* key) {
         s.ObserveLatency();
         return false;
       }
-      if (s.reader->min_key() > s.options.max_key) {
-        s.page = 0;  // whole page past the range: tail cannot match either
-        s.tail_index = s.tail.size();
-        s.ObserveLatency();
-        return false;
-      }
       s.record_in_page = 0;
       s.page_loaded = true;
       continue;
@@ -274,72 +259,23 @@ RecordStore::Iterator RecordStore::Scan(const ScanOptions& options) {
   state->store = this;
   state->options = options;
   state->page_buffer.resize(page_size_);
-  state->last_page = page_count_;
   state->tail = pending_;
   state->tail_base_key = next_key_ - pending_.size();
 
-  if (page_count_ == 0 || index_.empty()) {
-    state->page = 0;  // no sealed pages: tail only
-    return Iterator(std::move(state));
+  // Page bounds from the min-key table: the first page is the last one
+  // whose min_key <= min_key, the last page the last one whose min_key <=
+  // max_key. Both are 1-based file pages (upper_bound counts the pages at
+  // or below a key), kept as numbers because a later Append may
+  // reallocate the table. A range starting in the tail reads no page.
+  if (options.min_key < state->tail_base_key &&
+      options.min_key <= options.max_key) {
+    const auto begin = page_min_keys_.begin();
+    const auto end = page_min_keys_.end();
+    state->page = static_cast<uint64_t>(
+        std::upper_bound(begin, end, options.min_key) - begin);
+    state->last_page = static_cast<uint64_t>(
+        std::upper_bound(begin, end, options.max_key) - begin);
   }
-
-  // Find the start page: the last sealed page whose min_key <= min_key
-  // bound. The learned index narrows this to a small window; a binary
-  // search inside the window (reading only those pages) pins it down.
-  // Landing early is harmless (the iterator skips out-of-range keys), so
-  // only "any page with min_key <= bound, as late as possible" matters.
-  const obs::StoreMetrics& metrics = obs::Store();
-  LearnedPageIndex::PageWindow window = index_.Locate(options.min_key);
-  window.first = std::max<uint64_t>(window.first, 1);
-  window.last = std::min<uint64_t>(window.last, page_count_);
-  uint64_t start = 0;
-  uint64_t lo = window.first;
-  uint64_t hi = window.last;
-  while (lo <= hi) {
-    const uint64_t mid = lo + (hi - lo) / 2;
-    Status read = file_->ReadPage(mid, page_size_,
-                                  state->page_buffer.data());
-    if (!read.ok()) {
-      state->status = read;
-      return Iterator(std::move(state));
-    }
-    metrics.pages_read->Increment();
-    Result<PageReader> parsed =
-        PageReader::Parse(state->page_buffer.data(), page_size_);
-    if (!parsed.ok()) {
-      state->status = parsed.status();
-      return Iterator(std::move(state));
-    }
-    if (parsed->min_key() <= options.min_key) {
-      start = mid;
-      lo = mid + 1;
-    } else {
-      if (mid == 0) break;
-      hi = mid - 1;
-    }
-  }
-  // The model's window can, in principle, sit entirely past the true
-  // page; walk back until a page qualifies. (Page 1 always does: its
-  // min_key is 0.)
-  while (start == 0 && window.first > 1) {
-    --window.first;
-    Status read = file_->ReadPage(window.first, page_size_,
-                                  state->page_buffer.data());
-    if (!read.ok()) {
-      state->status = read;
-      return Iterator(std::move(state));
-    }
-    metrics.pages_read->Increment();
-    Result<PageReader> parsed =
-        PageReader::Parse(state->page_buffer.data(), page_size_);
-    if (!parsed.ok()) {
-      state->status = parsed.status();
-      return Iterator(std::move(state));
-    }
-    if (parsed->min_key() <= options.min_key) start = window.first;
-  }
-  if (start == 0) start = 1;
-  state->page = start;
   return Iterator(std::move(state));
 }
 

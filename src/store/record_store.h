@@ -5,9 +5,9 @@
 // A store is an append-only sequence of populated records keyed by a
 // dense, monotonic ingest sequence (key 0 is the first record ever
 // appended). Records buffer in memory and are sealed to fixed-size pages
-// (page.h) through a pluggable FileInterface backend; a learned sparse
-// index over page min-keys (learned_index.h) keeps range queries at
-// O(segments) + the covered pages.
+// (page.h) through a pluggable FileInterface backend. An exact in-memory
+// table of page min-keys (8 bytes per sealed page) names a range's first
+// and last pages with no I/O, so a scan reads only the pages it covers.
 //
 // Durability: Flush() seals the buffered tail page and syncs the backend;
 // everything appended before a returned-OK Flush survives a crash. On
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "store/file_interface.h"
-#include "store/learned_index.h"
 #include "store/page.h"
 #include "store/record_codec.h"
 #include "util/result.h"
@@ -43,8 +42,6 @@ struct StoreOptions {
   /// store always uses the size recorded in its superblock. Must lie in
   /// [kMinPageSize, kMaxPageSize].
   size_t page_size = 4096;
-  /// Learned-index error bound (see learned_index.h).
-  uint32_t index_epsilon = 4;
 };
 
 inline constexpr size_t kMinPageSize = 128;
@@ -104,18 +101,18 @@ class RecordStore {
 
   /// Starts a key-range scan. The iterator sees every record appended
   /// before this call (including the unsealed tail, which is snapshotted)
-  /// and must not outlive the store.
+  /// and must not outlive the store. It reads only the sealed pages whose
+  /// key span overlaps [min_key, max_key].
   Iterator Scan(const ScanOptions& options = {});
 
   /// Total records appended (== the next key to be assigned).
   uint64_t record_count() const { return next_key_; }
   /// Data pages sealed to the backend (excludes the buffered tail).
-  uint64_t page_count() const { return page_count_; }
+  uint64_t page_count() const { return page_min_keys_.size(); }
   /// Records buffered in the unsealed tail page.
   size_t pending_records() const { return pending_.size(); }
   /// Invalid tail pages dropped by recovery during Open.
   uint64_t torn_pages_recovered() const { return torn_pages_; }
-  size_t index_segments() const { return index_.segment_count(); }
   size_t page_size() const { return page_size_; }
   std::string DebugName() const { return file_->DebugName(); }
 
@@ -126,8 +123,7 @@ class RecordStore {
     friend class RecordStore;
     Private() = default;
   };
-  RecordStore(Private, std::unique_ptr<FileInterface> file, size_t page_size,
-              uint32_t index_epsilon);
+  RecordStore(Private, std::unique_ptr<FileInterface> file, size_t page_size);
 
  private:
 
@@ -136,10 +132,12 @@ class RecordStore {
 
   std::unique_ptr<FileInterface> file_;
   size_t page_size_;
-  LearnedPageIndex index_;
+  // Min key of every sealed data page: entry p-1 holds file page p's
+  // (page 0 is the superblock). Strictly increasing (keys are dense), so
+  // std::upper_bound locates.
+  std::vector<uint64_t> page_min_keys_;
 
   uint64_t next_key_ = 0;
-  uint64_t page_count_ = 0;  // sealed data pages; file page = 1-based
   uint64_t torn_pages_ = 0;
 
   // Unsealed tail: encoded payloads and their running page footprint.

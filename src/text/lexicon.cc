@@ -82,6 +82,7 @@ bool Lexicon::Contains(std::string_view entry) const {
 
 std::vector<LexiconMatch> Lexicon::FindAll(std::string_view text) const {
   std::vector<LexiconMatch> matches;
+  if (empty()) return matches;  // skip tokenizing: nothing can match
   std::vector<TokenSpan> tokens = TokenizeWords(text);
   size_t i = 0;
   while (i < tokens.size()) {

@@ -146,6 +146,24 @@ TEST(ExtractionContextTest, UsesTheProvidedCache) {
   EXPECT_EQ(cache.hits(), 1u);
 }
 
+TEST(ExtractionContextTest, InstanceGeneratorSharesTheContextRecognizer) {
+  // One ontology compile per context: the generator wraps the context's
+  // recognizer rather than compiling its own.
+  const Ontology ontology = BundledOntology(Domain::kObituaries).value();
+  auto context = ExtractionContext::Create(ontology);
+  ASSERT_TRUE(context.ok());
+  ASSERT_NE(context->instance_generator(), nullptr);
+  EXPECT_EQ(&context->instance_generator()->recognizer(),
+            &context->recognizer());
+
+  const ExtractionContext borrowed =
+      ExtractionContext::FromCompiledRecognizer(ontology,
+                                                context->recognizer());
+  ASSERT_NE(borrowed.instance_generator(), nullptr);
+  EXPECT_EQ(&borrowed.instance_generator()->recognizer(),
+            &borrowed.recognizer());
+}
+
 TEST(ExtractionContextTest, ExtractDocumentFailsOnTaglessInput) {
   const Ontology ontology = BundledOntology(Domain::kObituaries).value();
   auto context = ExtractionContext::Create(ontology);

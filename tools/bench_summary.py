@@ -13,7 +13,7 @@ the headline MB/s numbers the README and CI artifacts track:
                                cache-off: hit rate and memoization speedup
     store_*                    bench_store: ingest MB/s (memory and POSIX
                                backends) and 1M-record query latencies,
-                               with the learned-index speedup over a full
+                               with the page-index speedup over a full
                                scan (CI floors this at 5x)
 
 Each section is included only when its benchmarks are present in the
@@ -133,7 +133,7 @@ def main():
 
     # Persistent-store section (bench/bench_store.cc): best ingest rep per
     # backend, query latencies against the sealed 1M-record store, and the
-    # learned-index speedup over the scan-from-zero baseline.
+    # page-index speedup over the scan-from-zero baseline.
     for key, prefix in [("store_ingest_mb_s", "BM_StoreIngest/"),
                         ("store_ingest_posix_mb_s", "BM_StoreIngestPosix/")]:
         ingest = [b for name, b in runs.items() if name.startswith(prefix)
@@ -141,22 +141,19 @@ def main():
         if ingest:
             summary[key] = mb_per_second(
                 max(ingest, key=lambda b: b["bytes_per_second"]))
-    if "BM_StoreRangeQueryLearned" in runs:
-        learned = runs["BM_StoreRangeQueryLearned"]
-        summary["store_range_query_us"] = round(real_seconds(learned) * 1e6,
-                                                1)
-        if "index_segments" in learned:
-            summary["store_index_segments"] = int(learned["index_segments"])
-    if "BM_StorePointQueryLearned" in runs:
+    if "BM_StoreRangeQueryIndexed" in runs:
+        summary["store_range_query_us"] = round(
+            real_seconds(runs["BM_StoreRangeQueryIndexed"]) * 1e6, 1)
+    if "BM_StorePointQueryIndexed" in runs:
         summary["store_point_query_us"] = round(
-            real_seconds(runs["BM_StorePointQueryLearned"]) * 1e6, 1)
+            real_seconds(runs["BM_StorePointQueryIndexed"]) * 1e6, 1)
     if "BM_StoreRangeQueryFullScan" in runs:
         full = runs["BM_StoreRangeQueryFullScan"]
         summary["store_full_scan_ms"] = round(real_seconds(full) * 1e3, 2)
-        if "BM_StoreRangeQueryLearned" in runs:
+        if "BM_StoreRangeQueryIndexed" in runs:
             summary["store_index_speedup"] = round(
                 real_seconds(full)
-                / real_seconds(runs["BM_StoreRangeQueryLearned"]), 1)
+                / real_seconds(runs["BM_StoreRangeQueryIndexed"]), 1)
 
     if not summary:
         print("bench_summary: no recognized benchmarks in inputs",

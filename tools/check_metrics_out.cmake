@@ -57,7 +57,6 @@ set(DOCUMENTED_METRICS
     webrbd_store_flushes_total
     webrbd_store_records_written_total
     webrbd_store_torn_pages_total
-    webrbd_store_index_segments
     webrbd_store_query_seconds)
 
 set(json_file ${OUT_DIR}/metrics_out.json)

@@ -789,8 +789,7 @@ int RunStore(const CliOptions& cli) {
                  batch->documents[i].status().ToString().c_str());
   }
   std::printf("%s", batch->stats.ToString().c_str());
-  std::printf("stored %llu record(s) in %s (keys %llu..%llu, %llu pages, "
-              "%zu index segments)\n",
+  std::printf("stored %llu record(s) in %s (keys %llu..%llu, %llu pages)\n",
               static_cast<unsigned long long>(sink.records_written()),
               cli.store_path.c_str(),
               static_cast<unsigned long long>(first_key),
@@ -798,13 +797,12 @@ int RunStore(const CliOptions& cli) {
                   record_store.record_count() == first_key
                       ? first_key
                       : record_store.record_count() - 1),
-              static_cast<unsigned long long>(record_store.page_count()),
-              record_store.index_segments());
+              static_cast<unsigned long long>(record_store.page_count()));
   return batch->stats.failed == 0 ? 0 : 1;
 }
 
 // The `query` subcommand: key-range (and optional entity) scan over an
-// existing store file, in a fresh process — what recovery and the learned
+// existing store file, in a fresh process — what recovery and the page
 // index exist for.
 int RunQuery(const CliOptions& cli) {
   if (!ValidateStrictFlags(cli)) return 2;
